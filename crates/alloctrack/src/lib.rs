@@ -19,8 +19,13 @@
 //! and reads measurements through [`allocations_during`] /
 //! [`peak_growth_during`].
 //!
-//! The counters are process-global: tests observing them should serialize
-//! on a lock, and a binary that never registers the allocator reads zeros.
+//! Allocation *counts* are per thread: [`allocations_during`] sees only the
+//! calling thread's allocations, so a test harness or another test
+//! allocating concurrently cannot leak into the count. Live/peak *bytes*
+//! are process-global, because the fold pipeline's result memory is
+//! allocated on its worker threads: tests observing [`peak_growth_during`]
+//! should serialize on a lock. A binary that never registers the allocator
+//! reads zeros.
 //!
 //! This lives in its own leaf crate (rather than `sysscale-types`) because
 //! a `GlobalAlloc` impl requires `unsafe impl`, and every model crate
@@ -31,6 +36,7 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// System allocator wrapper that counts allocation calls and tracks
@@ -39,15 +45,21 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[derive(Debug, Default, Clone, Copy)]
 pub struct TrackingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised with no destructor, so touching it from inside the
+    // allocator never allocates or registers thread-exit work.
+    static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
 static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
 
 // SAFETY: delegates allocation to `System` unchanged; the wrapper only
-// updates atomic counters around the calls.
+// updates atomic and thread-local counters around the calls.
 unsafe impl GlobalAlloc for TrackingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // `try_with` fails only while this thread's locals are torn down;
+        // such late allocations go uncounted.
+        let _ = THREAD_ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
         let live =
             LIVE_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed) + layout.size() as u64;
         PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
@@ -64,14 +76,16 @@ unsafe impl GlobalAlloc for TrackingAllocator {
     }
 }
 
-/// Number of allocation calls observed while `f` ran.
+/// Number of allocation calls the calling thread made while `f` ran
+/// (allocations on other threads are not counted).
 pub fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = THREAD_ALLOCATIONS.with(Cell::get);
     let result = f();
-    (ALLOCATIONS.load(Ordering::Relaxed) - before, result)
+    (THREAD_ALLOCATIONS.with(Cell::get) - before, result)
 }
 
-/// Peak heap growth (bytes above the level at entry) while `f` ran.
+/// Peak heap growth (bytes above the level at entry) while `f` ran,
+/// across all threads.
 pub fn peak_growth_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let baseline = LIVE_BYTES.load(Ordering::Relaxed);
     PEAK_BYTES.store(baseline, Ordering::Relaxed);

@@ -13,11 +13,10 @@
 //! anything is timed).
 //!
 //! **Mixed-load schedule** — one big population sweep is submitted, then a
-//! stream of small sweeps rides alongside it; measured once under the
-//! serial executor and once under the shared scheduler. The small-sweep
-//! p95 is the number the shared scheduler exists to improve (a small
-//! sweep no longer waits out the big one), emitted as one
-//! `{"kind":"mixed_perf",…}` record per mode.
+//! stream of small sweeps rides alongside it. The small-sweep p95 is the
+//! number the cost-fair scheduler exists to improve (a small sweep no
+//! longer waits out the big one), emitted next to the big sweep's latency
+//! as one `{"kind":"mixed_perf",…}` record.
 //!
 //! Records append to the `SYSSCALE_BENCH_HISTORY` JSONL file when that
 //! variable is set (tagged via `SYSSCALE_BENCH_TAG`).
@@ -30,8 +29,8 @@
 use sysscale::{CollectRuns, RunRecord, SessionPool};
 use sysscale_bench::timing::{MixedPerf, StressPerf};
 use sysscale_dist::{
-    assess_stages, sweep_from_sets, ExecutorMode, GovernorSpec, MatrixRecipe, PlatformSpec,
-    ServeOptions, StressMetrics, SweepRecipe, SweepService, WorkloadsSpec,
+    assess_stages, sweep_from_sets, GovernorSpec, MatrixRecipe, PlatformSpec, ServeOptions,
+    StressMetrics, SweepRecipe, SweepService, WorkloadsSpec,
 };
 use sysscale_types::exec;
 use sysscale_workloads::GeneratorConfig;
@@ -140,11 +139,10 @@ fn percentile_ms(latencies_micros: &mut [u64], q: f64) -> f64 {
     latencies_micros[rank - 1] as f64 / 1e3
 }
 
-/// Runs the mixed-load schedule once under `mode`: submit the big sweep,
-/// then (as soon as it is admitted) a stream of small sweeps on a second
-/// connection. Returns the emitted record's fields.
+/// Runs the mixed-load schedule: submit the big sweep, then (as soon as it
+/// is admitted) a stream of small sweeps on a second connection. Returns
+/// the emitted record's fields.
 fn run_mixed(
-    mode: ExecutorMode,
     workers: usize,
     big: &SweepRecipe,
     big_expected: &[(usize, RunRecord)],
@@ -154,7 +152,6 @@ fn run_mixed(
 ) -> MixedPerf {
     let service = SweepService::start(&ServeOptions {
         workers,
-        mode,
         ..ServeOptions::default()
     });
     let mut big_client = service.connect();
@@ -173,14 +170,14 @@ fn run_mixed(
         assert_eq!(
             outcome.result().expect("healthy small sweep"),
             small_expected,
-            "small sweep must stay byte-identical under mixed load ({mode:?})"
+            "small sweep must stay byte-identical under mixed load"
         );
     }
     let outcomes = big_client.collect(&[big_id]).expect("collect big");
     assert_eq!(
         outcomes[&big_id].result().expect("healthy big sweep"),
         big_expected,
-        "big sweep must stay byte-identical under mixed load ({mode:?})"
+        "big sweep must stay byte-identical under mixed load"
     );
     big_client.close();
     small_client.close();
@@ -202,10 +199,6 @@ fn run_mixed(
         .find(|s| s.cells == big_cells)
         .map_or(0, |s| s.total_micros);
     MixedPerf {
-        mode: match mode {
-            ExecutorMode::Serial => "serial",
-            ExecutorMode::Shared => "shared",
-        },
         workers,
         big_cells,
         small_requests: small_requests as u64,
@@ -300,43 +293,24 @@ fn main() {
         ),
     }
 
-    // Mixed load: one big sweep plus a stream of small ones, serial vs
-    // shared. The small-sweep p95 is the headline number.
+    // Mixed load: one big sweep plus a stream of small ones. The
+    // small-sweep p95 against the big sweep's latency is the headline.
     let mixed_label = if short { "mixed_smoke" } else { "mixed_load" };
     let (big_count, small_requests) = if short { (52, 8) } else { (104, 8) };
     let big = big_recipe(big_count);
     let big_expected = in_process(&big);
     let small_expected = in_process(&recipe);
-    let mut p95_by_mode = [0.0f64; 2];
-    for (i, mode) in [ExecutorMode::Serial, ExecutorMode::Shared]
-        .into_iter()
-        .enumerate()
-    {
-        let perf = run_mixed(
-            mode,
-            workers,
-            &big,
-            &big_expected,
-            &recipe,
-            &small_expected,
-            small_requests,
-        );
-        println!(
-            "stress/{mixed_label}: {} -> small p95 {:.1} ms (p50 {:.1} ms), \
-             big {:.1} ms, {} cells",
-            perf.mode,
-            perf.small_p95_latency_ms,
-            perf.small_p50_latency_ms,
-            perf.big_latency_ms,
-            perf.big_cells,
-        );
-        p95_by_mode[i] = perf.small_p95_latency_ms;
-        perf.emit(mixed_label);
-    }
-    let speedup = p95_by_mode[0] / p95_by_mode[1].max(1e-9);
-    println!(
-        "stress/{mixed_label}: shared scheduler cuts small-sweep p95 by {speedup:.1}x \
-         (serial {:.1} ms -> shared {:.1} ms)",
-        p95_by_mode[0], p95_by_mode[1],
+    let perf = run_mixed(
+        workers,
+        &big,
+        &big_expected,
+        &recipe,
+        &small_expected,
+        small_requests,
     );
+    println!(
+        "stress/{mixed_label}: small p95 {:.1} ms (p50 {:.1} ms), big {:.1} ms, {} cells",
+        perf.small_p95_latency_ms, perf.small_p50_latency_ms, perf.big_latency_ms, perf.big_cells,
+    );
+    perf.emit(mixed_label);
 }

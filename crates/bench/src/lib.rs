@@ -761,16 +761,13 @@ pub mod timing {
     }
 
     /// Wall-clock **mixed-load** measurement of the sweep service: one
-    /// long-running big sweep plus a stream of small sweeps, measured once
-    /// under the serial executor and once under the shared cost-aware
-    /// scheduler (`sysscale_dist::ExecutorMode`). The record carries the
-    /// small-sweep latency percentiles — the number the shared scheduler
-    /// exists to improve — so the history file holds the serial-vs-shared
-    /// delta as a trajectory. One record per mode.
+    /// long-running big sweep plus a stream of small sweeps on the
+    /// cost-fair shared scheduler. The record carries the small-sweep
+    /// latency percentiles — the number the scheduler exists to improve —
+    /// next to the big sweep's latency, so the history file holds the
+    /// small-vs-big ratio as a trajectory.
     #[derive(Debug, Clone, PartialEq)]
     pub struct MixedPerf {
-        /// Executor mode: `"serial"` or `"shared"`.
-        pub mode: &'static str,
         /// Fold workers the service ran.
         pub workers: usize,
         /// Cells of the big background sweep.
@@ -793,16 +790,15 @@ pub mod timing {
 
     impl MixedPerf {
         /// Prints the canonical one-line JSON record
-        /// (`{"kind":"mixed_perf","bench":…,"mode":…,…}`) and appends it
+        /// (`{"kind":"mixed_perf","bench":…,"workers":…,…}`) and appends it
         /// to the [`HISTORY_ENV`] file when configured.
         pub fn emit(&self, bench: &str) {
             let line = format!(
                 "{{\"kind\":\"mixed_perf\",\"bench\":\"{bench}\",\
-                 \"mode\":\"{}\",\"workers\":{},\"big_cells\":{},\
+                 \"workers\":{},\"big_cells\":{},\
                  \"small_requests\":{},\"small_cells\":{},\
                  \"small_p50_latency_ms\":{:.3},\"small_p95_latency_ms\":{:.3},\
                  \"big_latency_ms\":{:.3},\"busy_shed\":{},\"errors\":{}}}",
-                self.mode,
                 self.workers,
                 self.big_cells,
                 self.small_requests,

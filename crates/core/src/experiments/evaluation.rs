@@ -387,7 +387,8 @@ enum EvalRow {
     Power(PowerReductionRow),
 }
 
-/// [`evaluation_figures`] through the fold-based result pipeline
+/// [`evaluation_figures`] on a caller-provided pool and worker count,
+/// through the fold-based result pipeline
 /// ([`SweepSet::run_parallel_fold`]): the same three-suite sharded sweep,
 /// but each workload's four governor runs reduce to its figure row the
 /// moment the last one finishes — via the same record-level row reductions
@@ -395,23 +396,6 @@ enum EvalRow {
 /// materialized and the figures are **byte-identical** to
 /// [`evaluation_figures`] at any thread count (the fold differential test
 /// pins this).
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn evaluation_figures_fold(
-    config: &SocConfig,
-    predictor: &DemandPredictor,
-) -> SimResult<(SpeedupFigure, SpeedupFigure, PowerReductionFigure)> {
-    evaluation_figures_fold_in(
-        &mut SessionPool::new(),
-        exec::default_threads(),
-        config,
-        predictor,
-    )
-}
-
-/// [`evaluation_figures_fold`] on a caller-provided pool and worker count.
 ///
 /// # Errors
 ///

@@ -95,7 +95,7 @@ pub use predictor::{
 };
 pub use scenario::{
     auto_duration, platform_fingerprint, scenario_cost, sysscale_factory, CellError, CellId,
-    CollectRuns, FnGovernorFactory, GovernorFactory, GovernorRegistry, GroupAcc, GroupFold,
+    CollectRuns, FnGovernorFactory, GovernorFactory, GovernorRegistry, GroupAcc, GroupFold, Lease,
     ProgressTap, RunCell, RunConsumer, RunRecord, RunSet, Scenario, ScenarioBuilder, ScenarioSet,
     ScenarioSource, SessionPool, SimSession, SweepSet, SweepSharding, TraceSinkFactory,
 };

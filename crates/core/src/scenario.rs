@@ -1469,34 +1469,62 @@ impl<'a> SweepSet<'a> {
         }
     }
 
-    /// The per-worker flat-index lists the parallel fold partitions this
-    /// sweep into, for `threads` requested workers under `sharding` — the
+    /// The lease plan of an externally driven fold: the per-worker slots
+    /// the parallel fold partitions this sweep into for `threads` requested
+    /// workers under `sharding`, each cut into ascending leases. The
     /// worker count is clamped exactly like
     /// [`SweepSet::run_parallel_fold_sharded`] clamps it
-    /// ([`exec::effective_workers`]), and the shard inputs (keys, costs)
-    /// are computed by the same code path, so element `w` is precisely the
-    /// ascending cell list worker `w` of the in-process fold would visit.
+    /// ([`exec::effective_workers`]) and the partition comes from the same
+    /// shard inputs, so slot `w`'s leases concatenate to precisely the
+    /// ascending cell list worker `w` of the in-process fold visits.
     ///
-    /// This is the planning half of an externally driven fold: a scheduler
-    /// that executes each slot's list in order (in any interleaving with
-    /// other work, e.g. via [`SweepSet::fold_flat_slice`] at lease
-    /// boundaries) and merges the slot accumulators in slot order
-    /// reproduces the in-process fold byte for byte.
+    /// Each slot is cut into `chunks_for_slot(slot_len)` pieces on
+    /// cost-prefix quantiles ([`exec::cost_quantile_chunks`]), so one
+    /// expensive cell does not drag a count-equal share of cheap
+    /// neighbours into its lease. The plan is a pure function of
+    /// `(sweep, threads, sharding, chunks_for_slot)`: replaying it yields
+    /// identical leases.
+    ///
+    /// A scheduler that folds each slot's leases in order (in any
+    /// interleaving with other work, e.g. via [`SweepSet::fold_flat_slice`]
+    /// into an [`exec::IncrementalFold`]) and merges the slot accumulators
+    /// in slot order reproduces the in-process fold byte for byte.
     #[must_use]
-    pub fn slot_indices(&self, threads: usize, sharding: SweepSharding) -> Vec<Vec<usize>> {
+    pub fn lease_plan(
+        &self,
+        threads: usize,
+        sharding: SweepSharding,
+        chunks_for_slot: impl Fn(usize) -> usize,
+    ) -> Vec<Vec<Lease>> {
         let total = self.cells();
         let workers = exec::effective_workers(threads, total);
         if total == 0 {
             return vec![Vec::new(); workers];
         }
-        let (keys, costs) = self.shard_inputs(sharding);
-        shard_of(sharding, &keys, &costs).worker_lists(total, workers)
+        let (keys, mut costs) = self.shard_inputs(sharding);
+        if costs.is_empty() {
+            costs = self.cell_costs();
+        }
+        let cost = |flat: usize| u128::from(costs[flat].max(1));
+        shard_of(sharding, &keys, &costs)
+            .worker_lists(total, workers)
+            .into_iter()
+            .map(|list| {
+                exec::cost_quantile_chunks(&list, |flat| costs[flat], chunks_for_slot(list.len()))
+                    .into_iter()
+                    .map(|flats| Lease {
+                        cost: flats.iter().map(|&flat| cost(flat)).sum(),
+                        flats,
+                    })
+                    .collect()
+            })
+            .collect()
     }
 
     /// Executes an ascending slice of flat cells on **one** session,
     /// folding each finished record into the caller's accumulator. This is
     /// the execution half of an externally driven fold (see
-    /// [`SweepSet::slot_indices`]): because every cell runs on a freshly
+    /// [`SweepSet::lease_plan`]): because every cell runs on a freshly
     /// reset simulator with a freshly built governor, folding a slot's
     /// list in order — across any number of `fold_flat_slice` calls, on
     /// any session — produces an accumulator byte-identical to the one the
@@ -1543,7 +1571,7 @@ impl<'a> SweepSet<'a> {
 
     /// The `(keys, costs)` inputs the sharding strategy partitions by —
     /// shared by [`SweepSet::run_parallel_fold_sharded`] and
-    /// [`SweepSet::slot_indices`] so both compute the identical partition.
+    /// [`SweepSet::lease_plan`] so both compute the identical partition.
     fn shard_inputs(&self, sharding: SweepSharding) -> (Vec<u64>, Vec<u64>) {
         let keys: Vec<u64> = match sharding {
             SweepSharding::RoundRobin => Vec::new(),
@@ -1636,7 +1664,7 @@ impl<'a> SweepSet<'a> {
 
 /// Maps a [`SweepSharding`] strategy onto the borrowed-input
 /// [`exec::Shard`] it runs as. Kept as one function so every caller
-/// (the in-process fold, [`SweepSet::slot_indices`]) agrees on the
+/// (the in-process fold, [`SweepSet::lease_plan`]) agrees on the
 /// mapping.
 fn shard_of<'a>(sharding: SweepSharding, keys: &'a [u64], costs: &'a [u64]) -> exec::Shard<'a> {
     match sharding {
@@ -1646,6 +1674,17 @@ fn shard_of<'a>(sharding: SweepSharding, keys: &'a [u64], costs: &'a [u64]) -> e
         SweepSharding::ByCost => exec::Shard::ByCostKeyed { keys, costs },
         SweepSharding::SplitHotCost => exec::Shard::SplitHotCost { keys, costs },
     }
+}
+
+/// One lease of a [`SweepSet::lease_plan`]: an ascending run of one
+/// slot's flat cells and their summed estimated cost ([`scenario_cost`];
+/// zero costs count as one).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Lease {
+    /// The lease's flat cell indices, strictly ascending.
+    pub flats: Vec<usize>,
+    /// Summed cost of the lease's cells.
+    pub cost: u128,
 }
 
 // ---------------------------------------------------------------------------
@@ -2443,13 +2482,35 @@ mod tests {
         }
     }
 
+    /// Records the partition a fold ran under next to its records: each
+    /// accumulator holds one visit list per merged worker (or slot).
+    struct PartitionRuns;
+
+    impl RunConsumer for PartitionRuns {
+        type Acc = (Vec<Vec<usize>>, Vec<(usize, RunRecord)>);
+
+        fn accumulator(&self) -> Self::Acc {
+            (vec![Vec::new()], Vec::new())
+        }
+
+        fn fold(&self, acc: &mut Self::Acc, cell: CellId, record: RunRecord) {
+            acc.0.last_mut().expect("one visit list").push(cell.flat);
+            acc.1.push((cell.flat, record));
+        }
+
+        fn merge(&self, into: &mut Self::Acc, from: Self::Acc) {
+            into.0.extend(from.0);
+            into.1.extend(from.1);
+        }
+    }
+
     #[test]
-    fn slot_indices_with_fold_flat_slice_match_the_one_shot_fold() {
-        // The externally driven fold (slot_indices + fold_flat_slice +
-        // IncrementalFold, with slots chopped into cost-quantile leases)
-        // must reproduce run_parallel_fold_sharded byte for byte — this is
-        // the determinism contract the shared sweep-service scheduler
-        // rests on.
+    fn lease_plan_tiles_the_fold_partition_and_folds_back_to_the_one_shot_fold() {
+        // The externally driven fold (lease_plan + fold_flat_slice +
+        // IncrementalFold) must run every cell in the slot the in-process
+        // fold gives it and reproduce run_parallel_fold_sharded byte for
+        // byte — the determinism contract the sweep service and the
+        // distributed dispatcher rest on.
         let workloads = vec![
             spec_workload("gamess").unwrap(),
             spec_workload("lbm").unwrap(),
@@ -2465,57 +2526,74 @@ mod tests {
         let costs = sweep.cell_costs();
 
         for sharding in [
+            SweepSharding::RoundRobin,
             SweepSharding::ByPlatform,
+            SweepSharding::SplitHotKeys,
             SweepSharding::ByCost,
             SweepSharding::SplitHotCost,
         ] {
-            for threads in [1, 2, 3] {
+            for threads in [1, 2, 4] {
+                let context = format!("threads={threads} sharding={sharding:?}");
                 let expected = sweep
                     .run_parallel_fold_sharded(
                         &mut SessionPool::new(),
                         threads,
                         sharding,
-                        &CollectRuns,
+                        &PartitionRuns,
                     )
                     .unwrap();
 
-                let slots = sweep.slot_indices(threads, sharding);
-                let mut fold =
-                    exec::IncrementalFold::new(slots.len(), || CollectRuns.accumulator());
-                let mut pool = SessionPool::new();
-                // Execute each slot as a sequence of cost-quantile leases,
-                // deliberately interleaved round-robin across slots (the
-                // scheduler interleaves submissions the same way).
-                let mut leases: Vec<std::collections::VecDeque<Vec<usize>>> = slots
+                let plan = sweep.lease_plan(threads, sharding, |len| len.div_ceil(2));
+                let slots: Vec<Vec<usize>> = plan
                     .iter()
-                    .map(|list| {
-                        exec::cost_quantile_chunks(list, |flat| costs[flat], 3)
-                            .into_iter()
-                            .collect()
-                    })
+                    .map(|leases| leases.iter().flat_map(|l| l.flats.clone()).collect())
                     .collect();
-                while leases.iter().any(|q| !q.is_empty()) {
-                    for (slot, queue) in leases.iter_mut().enumerate() {
+                assert_eq!(
+                    slots, expected.0,
+                    "slots are the fold's partition: {context}"
+                );
+                for (leases, slot) in plan.iter().zip(&slots) {
+                    assert!(slot.windows(2).all(|w| w[0] < w[1]), "{context}");
+                    assert_eq!(leases.len(), slot.len().div_ceil(2), "{context}");
+                    for lease in leases {
+                        assert!(!lease.flats.is_empty(), "{context}");
+                        let cost: u128 = lease
+                            .flats
+                            .iter()
+                            .map(|&f| u128::from(costs[f].max(1)))
+                            .sum();
+                        assert_eq!(lease.cost, cost, "{context}");
+                    }
+                }
+
+                // Execute each slot lease by lease, deliberately interleaved
+                // round-robin across slots (the schedulers interleave
+                // submissions the same way).
+                let mut fold =
+                    exec::IncrementalFold::new(plan.len(), || PartitionRuns.accumulator());
+                let mut pool = SessionPool::new();
+                let mut queues: Vec<std::collections::VecDeque<Lease>> =
+                    plan.into_iter().map(Into::into).collect();
+                while queues.iter().any(|q| !q.is_empty()) {
+                    for (slot, queue) in queues.iter_mut().enumerate() {
                         let Some(lease) = queue.pop_front() else {
                             continue;
                         };
-                        let first = lease.first().copied().unwrap_or(0);
-                        let mut acc = fold.checkout(slot, first);
-                        let next = lease.last().copied().unwrap_or(0) + 1;
+                        let mut acc = fold.checkout(slot, lease.flats[0]);
                         sweep
                             .fold_flat_slice(
                                 &mut pool.worker_sessions(1)[0],
-                                &lease,
-                                &CollectRuns,
+                                &lease.flats,
+                                &PartitionRuns,
                                 &mut acc,
                             )
                             .unwrap();
-                        fold.restore(slot, acc, next);
+                        fold.restore(slot, acc, lease.flats[lease.flats.len() - 1] + 1);
                     }
                 }
                 assert!(fold.is_idle());
-                let got = fold.finish(|into, from| CollectRuns.merge(into, from));
-                assert_eq!(got, expected, "threads={threads} sharding={sharding:?}");
+                let got = fold.finish(|into, from| PartitionRuns.merge(into, from));
+                assert_eq!(got, expected, "{context}");
             }
         }
     }

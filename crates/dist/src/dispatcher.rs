@@ -1,7 +1,8 @@
 //! The dispatcher half of the distributed executor.
 //!
 //! The dispatcher owns the sweep: it plans **leases** (ascending flat-index
-//! chunks of one virtual worker slot's shard), spawns one worker OS process
+//! chunks of one virtual worker slot's shard, from
+//! [`sysscale::SweepSet::lease_plan`]), spawns one worker OS process
 //! per slot, streams each worker its leases, and folds the `Result` frames
 //! coming back into per-lease consumer accumulators. Because every lease is
 //! replayed through the same [`RunConsumer`] fold the in-process executor
@@ -44,16 +45,14 @@ use std::sync::mpsc::{channel, Sender};
 use std::time::{Duration, Instant};
 
 use sysscale::types::exec;
-use sysscale::{
-    CellId, CollectRuns, RunConsumer, RunSet, ScenarioSet, ScenarioSource, SweepSharding,
-};
+use sysscale::{CellId, CollectRuns, RunConsumer, RunSet, ScenarioSet};
 use sysscale_types::{SimError, SimResult};
 
 use crate::fault::{FaultPlan, FaultReader};
 use crate::journal::{JournalHeader, SweepJournal};
 use crate::net;
 use crate::proto::{LeaseIndices, Message, PipeTransport, TcpTransport, WorkerTransport};
-use crate::recipe::SweepRecipe;
+use crate::recipe::{sweep_from_sets, SweepRecipe};
 use crate::wire::WireError;
 use crate::worker::{FAULT_ENV, HANG_ENV, POISON_CRASH_ENV, POISON_FLAT_ENV};
 
@@ -80,6 +79,11 @@ const TCP_ACCEPT_TIMEOUT: Duration = Duration::from_secs(30);
 /// mode "giving up" means bisecting a multi-cell lease (or quarantining a
 /// single-cell one) instead of failing the run.
 pub const MAX_LEASE_EXECUTIONS: usize = 3;
+
+/// Leases each slot's shard is cut into, on cost-prefix quantiles. More
+/// leases bound re-execution after a death more tightly but cost more
+/// protocol round-trips.
+pub const LEASES_PER_SLOT: usize = 4;
 
 /// The byte channel family between dispatcher and workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -133,10 +137,6 @@ pub struct DistOptions {
     /// In-process fold threads *inside* each worker (default 1: processes
     /// replace threads rather than multiplying them).
     pub worker_threads: usize,
-    /// Leases to cut each slot's shard into (default 4). More leases bound
-    /// re-execution after a death more tightly but cost more protocol
-    /// round-trips.
-    pub leases_per_worker: usize,
     /// Cells a worker executes between heartbeats (default 8).
     pub batch_cells: usize,
     /// Pipe or TCP framing.
@@ -175,7 +175,6 @@ impl Default for DistOptions {
         Self {
             procs: None,
             worker_threads: 1,
-            leases_per_worker: 4,
             batch_cells: 8,
             transport: TransportKind::default(),
             worker_binary: None,
@@ -600,34 +599,6 @@ fn send_lease(worker: &mut WorkerSlot, lease_id: usize, flats: &[usize]) {
     .write_to(&mut worker.tx);
 }
 
-/// Cuts one slot's ascending cell list into up to `leases_per_worker`
-/// contiguous chunks of near-equal size.
-fn plan_slot_leases(cells: &[usize], leases_per_worker: usize) -> Vec<Vec<usize>> {
-    if cells.is_empty() {
-        return Vec::new();
-    }
-    let chunks = leases_per_worker.clamp(1, cells.len());
-    (0..chunks)
-        .map(|c| cells[c * cells.len() / chunks..(c + 1) * cells.len() / chunks].to_vec())
-        .collect()
-}
-
-/// Like [`plan_slot_leases`], but the chunk boundaries fall on cost-prefix
-/// quantiles instead of index quantiles: chunk `c` ends at the first cell
-/// whose cumulative cost reaches `(c+1)/chunks` of the slot's total, so an
-/// expensive cell no longer drags a count-equal share of cheap neighbours
-/// into its lease. Every chunk keeps at least one cell, chunks stay
-/// contiguous and ascending, and the plan is a pure function of
-/// `(cells, costs, leases_per_worker)` — replay after a death re-issues
-/// identical leases. Zero costs count as one, mirroring the shard layer.
-fn plan_slot_leases_by_cost(
-    cells: &[usize],
-    costs: &[u64],
-    leases_per_worker: usize,
-) -> Vec<Vec<usize>> {
-    exec::cost_quantile_chunks(cells, |flat| costs[flat], leases_per_worker)
-}
-
 /// Executes `recipe` across worker processes and returns one [`RunSet`] per
 /// recipe member (byte-identical to
 /// [`sysscale::SweepSet::run_parallel`] on the rebuilt sets), plus run
@@ -780,58 +751,21 @@ fn dispatch<Q: RunConsumer>(
     };
 
     let procs = exec::resolve_parallelism(options.procs, exec::PROCS_ENV);
-    let slots = exec::effective_workers(procs, total);
+    // The same cell→worker partition the in-process fold core computes,
+    // each slot cut into cost-quantile leases; replay after a death
+    // re-issues identical leases because the plan is a pure function of
+    // the recipe and the slot count.
+    let plan = sweep_from_sets(sets).lease_plan(procs, recipe.sharding, |_| LEASES_PER_SLOT);
+    let slots = plan.len();
     stats.slots = slots;
-
-    // The same cell→worker assignment the in-process fold core computes.
-    let keys: Vec<u64> = match recipe.sharding {
-        SweepSharding::RoundRobin => Vec::new(),
-        SweepSharding::ByPlatform
-        | SweepSharding::SplitHotKeys
-        | SweepSharding::ByCost
-        | SweepSharding::SplitHotCost => sets.iter().flat_map(ScenarioSource::shard_keys).collect(),
-    };
-    let costs: Vec<u64> = match recipe.sharding {
-        SweepSharding::ByCost | SweepSharding::SplitHotCost => {
-            sets.iter().flat_map(ScenarioSource::cell_costs).collect()
-        }
-        _ => Vec::new(),
-    };
-    let shard = match recipe.sharding {
-        SweepSharding::RoundRobin => exec::Shard::RoundRobin,
-        SweepSharding::ByPlatform => exec::Shard::ByKey(&keys),
-        SweepSharding::SplitHotKeys => exec::Shard::SplitHotKeys(&keys),
-        SweepSharding::ByCost => exec::Shard::ByCostKeyed {
-            keys: &keys,
-            costs: &costs,
-        },
-        SweepSharding::SplitHotCost => exec::Shard::SplitHotCost {
-            keys: &keys,
-            costs: &costs,
-        },
-    };
-    let assignment = shard.assignments(total, slots);
-    let mut slot_cells: Vec<Vec<usize>> = vec![Vec::new(); slots];
-    for (flat, &slot) in assignment.iter().enumerate() {
-        slot_cells[slot].push(flat);
-    }
-
-    // Plan leases: ascending contiguous chunks of each slot's cell list —
-    // index-sized normally, cost-sized under a cost-based sharding so one
-    // expensive cell doesn't fill a lease with cheap followers.
     let mut leases: Vec<LeaseState<Q::Acc>> = Vec::new();
     let mut slot_leases: Vec<Vec<usize>> = vec![Vec::new(); slots];
-    for (slot, cells) in slot_cells.iter().enumerate() {
-        let chunks = if costs.is_empty() {
-            plan_slot_leases(cells, options.leases_per_worker)
-        } else {
-            plan_slot_leases_by_cost(cells, &costs, options.leases_per_worker)
-        };
-        for flats in chunks {
+    for (slot, planned) in plan.into_iter().enumerate() {
+        for lease in planned {
             slot_leases[slot].push(leases.len());
             leases.push(LeaseState {
                 slot,
-                flats,
+                flats: lease.flats,
                 acc: consumer.accumulator(),
                 received: 0,
                 failed: 0,
@@ -1399,45 +1333,6 @@ fn dispatch<Q: RunConsumer>(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn slot_leases_are_contiguous_ascending_chunks() {
-        let cells: Vec<usize> = (0..10).map(|i| i * 3).collect();
-        let plan = plan_slot_leases(&cells, 4);
-        assert_eq!(plan.len(), 4);
-        let rejoined: Vec<usize> = plan.iter().flatten().copied().collect();
-        assert_eq!(rejoined, cells, "chunks must cover the slot in order");
-        assert!(plan.iter().all(|chunk| !chunk.is_empty()));
-
-        // Fewer cells than the lease budget: one lease per cell.
-        assert_eq!(plan_slot_leases(&[5, 9], 4).len(), 2);
-        assert!(plan_slot_leases(&[], 4).is_empty());
-    }
-
-    #[test]
-    fn cost_sized_leases_cut_on_cost_quantiles_not_index_quantiles() {
-        // Ten cells, cell 0 carrying ~90% of the slot's cost: the first
-        // lease must be just that cell, with the cheap tail spread over the
-        // remaining leases — where index-quantile chunks would give lease 0
-        // two or three cells including the expensive one.
-        let cells: Vec<usize> = (0..10).collect();
-        let mut costs = vec![1u64; 10];
-        costs[0] = 90;
-        let plan = plan_slot_leases_by_cost(&cells, &costs, 4);
-        assert_eq!(plan.len(), 4);
-        let rejoined: Vec<usize> = plan.iter().flatten().copied().collect();
-        assert_eq!(rejoined, cells, "chunks must cover the slot in order");
-        assert!(plan.iter().all(|chunk| !chunk.is_empty()));
-        assert_eq!(plan[0], vec![0], "the dominant cell gets its own lease");
-
-        // Uniform costs degrade to near-equal counts, like the index plan.
-        let plan = plan_slot_leases_by_cost(&cells, &[7; 10], 4);
-        assert!(plan.iter().all(|chunk| (2..=3).contains(&chunk.len())));
-
-        // Fewer cells than the lease budget: one lease per cell.
-        assert_eq!(plan_slot_leases_by_cost(&[5, 9], &[1; 10], 4).len(), 2);
-        assert!(plan_slot_leases_by_cost(&[], &[], 4).is_empty());
-    }
 
     #[test]
     fn worker_binary_resolution_prefers_explicit_option() {

@@ -76,7 +76,7 @@ pub mod worker;
 pub use dispatcher::{
     run_distributed, run_distributed_fold, run_distributed_fold_partial, run_distributed_partial,
     DistOptions, DistStats, FailedCell, FailedCells, PoisonFault, TransportKind, WorkerFault,
-    HEARTBEAT_TIMEOUT_ENV, MAX_LEASE_EXECUTIONS, WORKER_ENV,
+    HEARTBEAT_TIMEOUT_ENV, LEASES_PER_SLOT, MAX_LEASE_EXECUTIONS, WORKER_ENV,
 };
 pub use duplex::{byte_pipe, duplex, DuplexEnd, PipeReader, PipeWriter};
 pub use fault::{FaultKind, FaultPlan, FaultReader, WireFault, FAULT_PLAN_ENV};
@@ -87,9 +87,8 @@ pub use recipe::{
     sweep_from_sets, GovernorSpec, MatrixRecipe, PlatformSpec, SweepRecipe, WorkloadsSpec,
 };
 pub use serve::{
-    assess_stages, degradation_point, BusyShed, ExecutorMode, LoadAssessment, RequestSample,
-    ServeClient, ServeError, ServeEvent, ServeOptions, ServeStats, StressMetrics, SweepOutcome,
-    SweepService,
+    assess_stages, degradation_point, BusyShed, LoadAssessment, RequestSample, ServeClient,
+    ServeError, ServeEvent, ServeOptions, ServeStats, StressMetrics, SweepOutcome, SweepService,
 };
 pub use wire::{Dec, Enc, WireError};
 pub use worker::{worker_main, FAULT_ENV, HANG_ENV, POISON_CRASH_ENV, POISON_FLAT_ENV};

@@ -10,7 +10,7 @@
 //! [`SweepSet::run_parallel_fold`] of the same recipe, for every
 //! interleaving of concurrent submissions.
 //!
-//! ## Topology (the default [`ExecutorMode::Shared`])
+//! ## Topology
 //!
 //! ```text
 //!  client A ──Submit──▶ reader thread A ──┐               ┌─ worker 1 ─┐
@@ -23,12 +23,11 @@
 //! depth at admission — or a `Busy` frame when `max_pending` submissions
 //! are already in flight), builds the recipe, and hands the sweep to the
 //! **shared cost-aware scheduler**. The scheduler plans every submission
-//! exactly like the in-process fold would: the per-worker cell lists come
-//! from [`SweepSet::slot_indices`] (the same sharding strategy, the same
-//! worker clamp), each slot's list is cut into cost-prefix-quantile leases
-//! ([`exec::cost_quantile_chunks`] — the same sizing the distributed
-//! dispatcher uses), and one pool of worker threads executes leases from
-//! **all** active submissions, interleaved.
+//! with [`SweepSet::lease_plan`] — the partition the in-process fold
+//! computes (the same sharding strategy, the same worker clamp), each slot
+//! cut into cost-prefix-quantile leases of about four cells — and one pool
+//! of worker threads executes leases from **all** active submissions,
+//! interleaved.
 //!
 //! The interleave policy is cost-fair: a free worker always serves the
 //! active submission with the least cost served so far (ties broken by
@@ -42,8 +41,6 @@
 //! is in slot order, so the result is byte-identical to
 //! [`SweepSet::run_parallel_fold`] of the same recipe at the configured
 //! worker count, regardless of what else is in flight.
-//! [`ExecutorMode::Serial`] keeps the previous one-submission-at-a-time
-//! executor for A/B comparison (the stress bench measures both).
 //!
 //! Queueing delay and execution time are measured per request into
 //! [`RequestSample`]s, which [`StressMetrics::from_samples`] reduces to
@@ -60,19 +57,21 @@
 //! strictly increasing `done` counts in order on the wire, even though the
 //! underlying fold workers race. The tap is observability only: the final
 //! accumulator is bit-identical to the undecorated consumer's.
+//!
+//! [`SweepSet::run_parallel_fold`]: sysscale::SweepSet::run_parallel_fold
+//! [`SweepSet::lease_plan`]: sysscale::SweepSet::lease_plan
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-use sysscale::types::exec::{self, IncrementalFold};
+use sysscale::types::exec::IncrementalFold;
 use sysscale::{
-    CellError, CollectRuns, ProgressTap, RunConsumer, RunRecord, ScenarioSet, SessionPool,
-    SimSession, SweepSet,
+    CellError, CollectRuns, Lease, ProgressTap, RunConsumer, RunRecord, ScenarioSet, SessionPool,
+    SimSession,
 };
 use sysscale_types::SimError;
 
@@ -110,51 +109,32 @@ const SERVE_MAGIC: u32 = 0x5753_5653;
 /// Submission payload layout version.
 const SERVE_VERSION: u16 = 1;
 
-/// How the service turns admitted submissions into executed sweeps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecutorMode {
-    /// One executor thread runs submissions to completion in admission
-    /// order — a small sweep behind a big one waits out the whole thing.
-    /// Kept for A/B measurement (the stress bench's serial baseline).
-    Serial,
-    /// One worker pool multiplexes leases from every active submission
-    /// under the cost-fair interleave policy; per-submission record
-    /// streams stay byte-identical to the serial mode (and to the
-    /// in-process fold).
-    #[default]
-    Shared,
-}
+/// Target cells per scheduler lease: each slot's cell list is cut into
+/// `ceil(len / CELLS_PER_LEASE)` cost-quantile leases. Smaller leases
+/// interleave submissions at a finer grain (lower small-sweep latency) at
+/// slightly more scheduling overhead.
+const CELLS_PER_LEASE: usize = 4;
 
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
     /// Fold workers per sweep (the `threads` argument of
-    /// [`SweepSet::run_parallel_fold_sharded`](sysscale::SweepSet)). In
-    /// [`ExecutorMode::Shared`] this is also the worker-thread count of
-    /// the shared pool. The byte-identity contract holds at every value.
+    /// [`SweepSet::run_parallel_fold_sharded`](sysscale::SweepSet)), and
+    /// the worker-thread count of the shared pool. The byte-identity
+    /// contract holds at every value.
     pub workers: usize,
-    /// Executor topology; defaults to [`ExecutorMode::Shared`].
-    pub mode: ExecutorMode,
     /// Admission bound: submissions admitted (pending or executing) at
     /// any instant. A submission arriving past the bound is shed with a
     /// [`FT_BUSY`] frame instead of growing server memory without bound
     /// under a client storm.
     pub max_pending: u64,
-    /// Target cells per scheduler lease in [`ExecutorMode::Shared`]: each
-    /// slot's cell list is cut into `ceil(len / lease_cells)`
-    /// cost-quantile chunks. Smaller leases interleave submissions at a
-    /// finer grain (lower small-sweep latency) at slightly more
-    /// scheduling overhead.
-    pub lease_cells: usize,
 }
 
 impl Default for ServeOptions {
     fn default() -> Self {
         Self {
             workers: 2,
-            mode: ExecutorMode::Shared,
             max_pending: 256,
-            lease_cells: 4,
         }
     }
 }
@@ -220,32 +200,13 @@ impl std::fmt::Debug for ClientPort {
     }
 }
 
-/// An admitted submission travelling from a reader thread to the serial
-/// executor.
-struct Submission {
-    port: Arc<ClientPort>,
-    submit_id: u64,
-    recipe: SweepRecipe,
-    progress_every: u64,
-    queue_depth: u64,
-    accepted: Instant,
-}
-
-/// Where reader threads hand admitted submissions: the serial executor's
-/// channel, or the shared scheduler.
-#[derive(Clone)]
-enum Intake {
-    Serial(Sender<Submission>),
-    Shared(Arc<Scheduler>),
-}
-
 /// A running sweep service. Create with [`SweepService::start`], attach
 /// clients with [`SweepService::connect`] (in-memory) /
 /// [`SweepService::listen_tcp`] (sockets), and finish with
 /// [`SweepService::shutdown`] to collect [`ServeStats`].
 pub struct SweepService {
     shared: Arc<ServeShared>,
-    intake: Option<Intake>,
+    scheduler: Option<Arc<Scheduler>>,
     executor: Option<std::thread::JoinHandle<(usize, usize)>>,
     readers: Mutex<Vec<std::thread::JoinHandle<()>>>,
     acceptors: Mutex<Vec<std::thread::JoinHandle<()>>>,
@@ -263,36 +224,22 @@ impl std::fmt::Debug for SweepService {
 }
 
 impl SweepService {
-    /// Starts the executor (owning the shared warm [`SessionPool`]) and
-    /// returns the service handle. [`ExecutorMode::Shared`] spawns the
-    /// worker pool under a supervisor thread; [`ExecutorMode::Serial`]
-    /// spawns the single executor thread.
+    /// Starts the executor — the worker pool, owning the shared warm
+    /// [`SessionPool`], under a supervisor thread — and returns the
+    /// service handle.
     #[must_use]
     pub fn start(options: &ServeOptions) -> Self {
         let shared = Arc::new(ServeShared::default());
         let workers = options.workers.max(1);
-        let (intake, executor) = match options.mode {
-            ExecutorMode::Serial => {
-                let (submit_tx, submit_rx) = mpsc::channel::<Submission>();
-                let executor_shared = Arc::clone(&shared);
-                let executor = std::thread::spawn(move || {
-                    executor_loop(&submit_rx, workers, &executor_shared)
-                });
-                (Intake::Serial(submit_tx), executor)
-            }
-            ExecutorMode::Shared => {
-                let scheduler = Arc::new(Scheduler::new(workers, options.lease_cells.max(1)));
-                let executor_scheduler = Arc::clone(&scheduler);
-                let executor_shared = Arc::clone(&shared);
-                let executor = std::thread::spawn(move || {
-                    shared_executor(&executor_scheduler, workers, &executor_shared)
-                });
-                (Intake::Shared(scheduler), executor)
-            }
-        };
+        let scheduler = Arc::new(Scheduler::new(workers));
+        let executor_scheduler = Arc::clone(&scheduler);
+        let executor_shared = Arc::clone(&shared);
+        let executor = std::thread::spawn(move || {
+            shared_executor(&executor_scheduler, workers, &executor_shared)
+        });
         Self {
             shared,
-            intake: Some(intake),
+            scheduler: Some(scheduler),
             executor: Some(executor),
             readers: Mutex::new(Vec::new()),
             acceptors: Mutex::new(Vec::new()),
@@ -310,10 +257,11 @@ impl SweepService {
             writer: Mutex::new(writer),
         });
         let shared = Arc::clone(&self.shared);
-        let intake = self.intake.as_ref().expect("attach after shutdown").clone();
+        let scheduler = Arc::clone(self.scheduler.as_ref().expect("attach after shutdown"));
         let max_pending = self.max_pending;
-        let handle =
-            std::thread::spawn(move || client_loop(reader, &port, &intake, &shared, max_pending));
+        let handle = std::thread::spawn(move || {
+            client_loop(reader, &port, &scheduler, &shared, max_pending);
+        });
         self.readers.lock().expect("readers poisoned").push(handle);
     }
 
@@ -342,7 +290,7 @@ impl SweepService {
         let stop = Arc::clone(&self.stop);
         let shared = Arc::clone(&self.shared);
         let max_pending = self.max_pending;
-        let intake = self.intake.as_ref().expect("listen after shutdown").clone();
+        let scheduler = Arc::clone(self.scheduler.as_ref().expect("listen after shutdown"));
         let readers: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> =
             Arc::new(Mutex::new(Vec::new()));
         let acceptor_readers = Arc::clone(&readers);
@@ -358,9 +306,9 @@ impl SweepService {
                             writer: Mutex::new(Box::new(write_half) as Box<dyn Write + Send>),
                         });
                         let shared = Arc::clone(&shared);
-                        let intake = intake.clone();
+                        let scheduler = Arc::clone(&scheduler);
                         let reader = std::thread::spawn(move || {
-                            client_loop(Box::new(stream), &port, &intake, &shared, max_pending);
+                            client_loop(Box::new(stream), &port, &scheduler, &shared, max_pending);
                         });
                         acceptor_readers
                             .lock()
@@ -404,13 +352,10 @@ impl SweepService {
         for reader in self.readers.lock().expect("readers poisoned").drain(..) {
             let _ = reader.join();
         }
-        // Every reader has exited, so no further admissions: dropping the
-        // serial sender (or flagging the scheduler) lets the executor
-        // drain the in-flight work and return.
-        match self.intake.take() {
-            Some(Intake::Serial(submit_tx)) => drop(submit_tx),
-            Some(Intake::Shared(scheduler)) => scheduler.request_stop(),
-            None => {}
+        // Every reader has exited, so no further admissions: flagging the
+        // scheduler lets the executor drain the in-flight work and return.
+        if let Some(scheduler) = self.scheduler.take() {
+            scheduler.request_stop();
         }
         let (pool_workers, pool_cached_platforms) = self
             .executor
@@ -446,7 +391,7 @@ fn micros_since(instant: Instant) -> u64 {
 fn client_loop(
     mut reader: Box<dyn Read + Send>,
     port: &Arc<ClientPort>,
-    intake: &Intake,
+    scheduler: &Scheduler,
     shared: &Arc<ServeShared>,
     max_pending: u64,
 ) {
@@ -454,7 +399,7 @@ fn client_loop(
         match read_frame(&mut reader) {
             Ok(None) => break,
             Ok(Some((FT_SUBMIT, payload))) => {
-                if !admit_submission(&payload, port, intake, shared, max_pending) {
+                if !admit_submission(&payload, port, scheduler, shared, max_pending) {
                     break;
                 }
             }
@@ -472,11 +417,11 @@ fn client_loop(
 }
 
 /// Decodes and admits one submission payload. Returns `false` when the
-/// connection should drop (undecodable header, or the executor is gone).
+/// connection should drop (undecodable header).
 fn admit_submission(
     payload: &[u8],
     port: &Arc<ClientPort>,
-    intake: &Intake,
+    scheduler: &Scheduler,
     shared: &Arc<ServeShared>,
     max_pending: u64,
 ) -> bool {
@@ -536,119 +481,16 @@ fn admit_submission(
     shared.submissions.fetch_add(1, Ordering::SeqCst);
     let total_cells = recipe.total_cells() as u64;
     let _ = port.send(FT_ACCEPTED, &encode_accepted(submit_id, total_cells, depth));
-    let accepted = Instant::now();
-    match intake {
-        Intake::Serial(submit_tx) => submit_tx
-            .send(Submission {
-                port: Arc::clone(port),
-                submit_id,
-                recipe,
-                progress_every,
-                queue_depth: depth,
-                accepted,
-            })
-            .is_ok(),
-        Intake::Shared(scheduler) => {
-            scheduler.admit(
-                Arc::clone(port),
-                submit_id,
-                &recipe,
-                progress_every,
-                depth,
-                accepted,
-                shared,
-            );
-            true
-        }
-    }
-}
-
-/// The executor loop: one thread, one warm pool, submissions in admission
-/// order. Returns the pool's final `(workers, cached_platforms)` so
-/// shutdown can assert boundedness.
-fn executor_loop(
-    submit_rx: &Receiver<Submission>,
-    workers: usize,
-    shared: &Arc<ServeShared>,
-) -> (usize, usize) {
-    let mut pool = SessionPool::new();
-    while let Ok(submission) = submit_rx.recv() {
-        let queued_micros = micros_since(submission.accepted);
-        let exec_started = Instant::now();
-        let ok = run_submission(&mut pool, workers, &submission, queued_micros, shared);
-        if !ok {
-            shared.errors.fetch_add(1, Ordering::SeqCst);
-        }
-        shared.push_sample(RequestSample {
-            cells: submission.recipe.total_cells() as u64,
-            queue_depth: submission.queue_depth,
-            queued_micros,
-            exec_micros: micros_since(exec_started),
-            total_micros: micros_since(submission.accepted),
-            ok,
-        });
-    }
-    (pool.workers(), pool.cached_platforms())
-}
-
-/// Runs one submission to completion: build, fold with a monotone-gated
-/// progress tap, stream records in flat order, close with done/error.
-/// Returns whether the sweep succeeded.
-fn run_submission(
-    pool: &mut SessionPool,
-    workers: usize,
-    submission: &Submission,
-    queued_micros: u64,
-    shared: &ServeShared,
-) -> bool {
-    let port = &submission.port;
-    let submit_id = submission.submit_id;
-    let outcome = (|| -> Result<Vec<(usize, RunRecord)>, SimError> {
-        let sets = submission.recipe.build()?;
-        let sweep = sweep_from_sets(&sets);
-        let total = sweep.cells() as u64;
-        // The gate makes delivered progress strictly monotone even though
-        // fold workers publish concurrently.
-        let gate = Mutex::new(0u64);
-        let tap = ProgressTap::new(
-            &CollectRuns,
-            submission.progress_every,
-            total,
-            |done, of| {
-                let mut last = gate.lock().expect("progress gate poisoned");
-                if done > *last {
-                    *last = done;
-                    let _ = port.send(FT_PROGRESS, &encode_progress(submit_id, done, of));
-                }
-            },
-        );
-        let acc =
-            sweep.run_parallel_fold_sharded(pool, workers, submission.recipe.sharding, &tap)?;
-        Ok(CollectRuns::into_flat_records(acc))
-    })();
-    // Execution is over either way: release the depth slot *before* the
-    // terminal frame goes out, so a client that retries on seeing it can
-    // never bounce off its own completed submission. Depths sampled at
-    // admission thus count pending + executing submissions.
-    shared.queue_depth.fetch_sub(1, Ordering::SeqCst);
-    match outcome {
-        Ok(records) => {
-            let cells = records.len() as u64;
-            for (flat, record) in &records {
-                let _ = port.send(FT_CELL, &encode_cell(submit_id, *flat, record));
-            }
-            let exec_micros = micros_since(submission.accepted).saturating_sub(queued_micros);
-            let _ = port.send(
-                FT_SWEEP_DONE,
-                &encode_sweep_done(submit_id, cells, queued_micros, exec_micros),
-            );
-            true
-        }
-        Err(error) => {
-            let _ = port.send(FT_SWEEP_ERROR, &encode_sweep_error(submit_id, &error));
-            false
-        }
-    }
+    scheduler.admit(
+        Arc::clone(port),
+        submit_id,
+        &recipe,
+        progress_every,
+        depth,
+        Instant::now(),
+        shared,
+    );
+    true
 }
 
 // ---------------------------------------------------------------------------
@@ -663,15 +505,9 @@ type CollectAcc = <CollectRuns as RunConsumer>::Acc;
 /// and the client port.
 type SweepConsumer = Arc<dyn RunConsumer<Acc = CollectAcc> + Send + Sync>;
 
-/// One contiguous-by-slot-order unit of work: an ascending flat-index run
-/// plus its summed cell cost (the scheduler's fairness weight).
-struct Lease {
-    flats: Vec<usize>,
-    cost: u128,
-}
-
 /// One slot (= one in-process fold worker) of an active submission: its
-/// remaining leases in ascending order, whether a worker currently holds
+/// remaining leases in ascending order (each lease's cost is the
+/// scheduler's fairness weight), whether a worker currently holds
 /// its accumulator, and the slot's first error if it hit one.
 struct SlotQueue {
     leases: VecDeque<Lease>,
@@ -724,16 +560,14 @@ struct SchedState {
 struct Scheduler {
     state: Mutex<SchedState>,
     cvar: Condvar,
-    /// Worker-thread count — also the `threads` argument of the slot
+    /// Worker-thread count — also the `threads` argument of the lease
     /// plan, so the partition matches the in-process fold's.
     workers: usize,
-    /// Target cells per lease (see [`ServeOptions::lease_cells`]).
-    lease_cells: usize,
     next_seq: AtomicU64,
 }
 
 impl Scheduler {
-    fn new(workers: usize, lease_cells: usize) -> Self {
+    fn new(workers: usize) -> Self {
         Self {
             state: Mutex::new(SchedState {
                 active: Vec::new(),
@@ -741,7 +575,6 @@ impl Scheduler {
             }),
             cvar: Condvar::new(),
             workers,
-            lease_cells,
             next_seq: AtomicU64::new(0),
         }
     }
@@ -786,10 +619,7 @@ impl Scheduler {
             }
         };
         let sets = Arc::new(sets);
-        let mut sweep = SweepSet::new();
-        for set in sets.iter() {
-            sweep.push_set_ref(set);
-        }
+        let sweep = sweep_from_sets(&sets);
         let total = sweep.cells();
         if total == 0 {
             finish_now(true, 0);
@@ -797,30 +627,15 @@ impl Scheduler {
             return;
         }
 
-        // The same partition the in-process fold at `workers` threads
-        // computes, each slot cut into cost-quantile leases.
-        let costs = sweep.cell_costs();
         let slots: Vec<SlotQueue> = sweep
-            .slot_indices(self.workers, recipe.sharding)
+            .lease_plan(self.workers, recipe.sharding, |len| {
+                len.div_ceil(CELLS_PER_LEASE)
+            })
             .into_iter()
-            .map(|list| {
-                let leases = if list.is_empty() {
-                    VecDeque::new()
-                } else {
-                    let chunks = list.len().div_ceil(self.lease_cells);
-                    exec::cost_quantile_chunks(&list, |flat| costs[flat], chunks)
-                        .into_iter()
-                        .map(|flats| {
-                            let cost = flats.iter().map(|&f| u128::from(costs[f].max(1))).sum();
-                            Lease { flats, cost }
-                        })
-                        .collect()
-                };
-                SlotQueue {
-                    leases,
-                    busy: false,
-                    error: None,
-                }
+            .map(|leases| SlotQueue {
+                leases: leases.into(),
+                busy: false,
+                error: None,
             })
             .collect();
 
@@ -996,10 +811,7 @@ fn worker_loop(scheduler: &Scheduler, session: &mut SimSession, shared: &ServeSh
     while let Some(work) = scheduler.next_lease() {
         // Rebuilding the borrow-only SweepSet per lease is a few pointer
         // pushes; the scenario data lives in the shared Arc.
-        let mut sweep = SweepSet::new();
-        for set in work.sets.iter() {
-            sweep.push_set_ref(set);
-        }
+        let sweep = sweep_from_sets(&work.sets);
         let mut acc = work.acc;
         let error = sweep
             .fold_flat_slice(session, &work.flats, work.consumer.as_ref(), &mut acc)

@@ -11,6 +11,7 @@ use sysscale::{CellId, RunConsumer, RunRecord, RunSet, SessionPool};
 use sysscale_dist::{
     run_distributed, run_distributed_fold, sweep_from_sets, DistOptions, DistStats, GovernorSpec,
     MatrixRecipe, PlatformSpec, SweepRecipe, TransportKind, WorkerFault, WorkloadsSpec,
+    LEASES_PER_SLOT,
 };
 
 /// The worker binary cargo built alongside this test.
@@ -168,12 +169,10 @@ fn killed_worker_leases_replay_bit_identically() {
         after_results: 5,
         hang: false,
     };
-    let leases_per_worker = 4;
     let (got, stats) = run_distributed(
         &recipe,
         &DistOptions {
             fault: Some(fault),
-            leases_per_worker,
             ..options(4)
         },
     )
@@ -189,7 +188,7 @@ fn killed_worker_leases_replay_bit_identically() {
         "exactly one respawn replaces the sacrificed worker"
     );
     assert!(
-        (1..=leases_per_worker).contains(&stats.reissued_leases),
+        (1..=LEASES_PER_SLOT).contains(&stats.reissued_leases),
         "only the dead slot's unfinished leases may be re-issued (got {})",
         stats.reissued_leases
     );

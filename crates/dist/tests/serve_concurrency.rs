@@ -9,8 +9,8 @@
 
 use sysscale::{CollectRuns, RunRecord, SessionPool};
 use sysscale_dist::{
-    sweep_from_sets, ExecutorMode, GovernorSpec, MatrixRecipe, PlatformSpec, ServeClient,
-    ServeError, ServeEvent, ServeOptions, SweepRecipe, SweepService, WorkloadsSpec,
+    sweep_from_sets, GovernorSpec, MatrixRecipe, PlatformSpec, ServeClient, ServeError, ServeEvent,
+    ServeOptions, SweepRecipe, SweepService, WorkloadsSpec,
 };
 use sysscale_workloads::GeneratorConfig;
 
@@ -248,21 +248,19 @@ fn a_bad_recipe_fails_the_submission_not_the_connection() {
 
 #[test]
 fn mixed_load_interleavings_stay_byte_identical_in_both_modes() {
-    // The tentpole contract: one big sweep plus a handful of small ones,
-    // submitted in randomized interleavings, and every submission's record
-    // stream is byte-identical to its solo in-process fold — in the shared
-    // cost-aware scheduler exactly as in the serial executor, at 1/2/4
-    // workers.
+    // The scheduler's contract: one big sweep plus a handful of small
+    // ones, submitted in randomized interleavings, and every submission's
+    // record stream is byte-identical to its solo in-process fold, at
+    // 1/2/4 workers under two shuffle seeds each.
     let big = population_recipe(12);
     let smalls: Vec<SweepRecipe> = (0..3).map(|i| tiny_recipe(4.0 + i as f64 * 0.5)).collect();
     let big_expected = in_process(&big);
     let small_expected: Vec<Vec<(usize, RunRecord)>> = smalls.iter().map(in_process).collect();
 
-    for mode in [ExecutorMode::Serial, ExecutorMode::Shared] {
+    for variant in 0..2u64 {
         for workers in [1usize, 2, 4] {
             let service = SweepService::start(&ServeOptions {
                 workers,
-                mode,
                 ..ServeOptions::default()
             });
             let mut big_client = service.connect();
@@ -270,7 +268,7 @@ fn mixed_load_interleavings_stay_byte_identical_in_both_modes() {
                 smalls.iter().map(|_| service.connect()).collect();
 
             // Shuffle who submits when; slot 0 is the big sweep.
-            let seed = workers as u64 * 16 + u64::from(mode == ExecutorMode::Shared);
+            let seed = workers as u64 * 16 + variant;
             let mut order: Vec<usize> = (0..=smalls.len()).collect();
             shuffle(&mut order, seed);
             let mut big_id = 0;
@@ -289,13 +287,13 @@ fn mixed_load_interleavings_stay_byte_identical_in_both_modes() {
                 let outcomes = client.collect(&[small_ids[i]]).expect("collect small");
                 assert_eq!(
                     outcomes[&small_ids[i]].records, small_expected[i],
-                    "small {i} under {mode:?} at {workers} workers must match its solo fold"
+                    "small {i} (seed {seed}) at {workers} workers must match its solo fold"
                 );
             }
             let outcomes = big_client.collect(&[big_id]).expect("collect big");
             assert_eq!(
                 outcomes[&big_id].records, big_expected,
-                "big sweep under {mode:?} at {workers} workers must match its solo fold"
+                "big sweep (seed {seed}) at {workers} workers must match its solo fold"
             );
 
             big_client.close();
@@ -357,7 +355,6 @@ fn admission_bound_sheds_busy_as_a_typed_retryable_error() {
     let service = SweepService::start(&ServeOptions {
         workers: 1,
         max_pending: 1,
-        ..ServeOptions::default()
     });
     let mut client = service.connect();
     let big = population_recipe(10);

@@ -42,16 +42,15 @@
 //! ## Example
 //!
 //! ```
-//! use sysscale_types::exec;
+//! use sysscale_types::exec::{self, Shard};
 //!
-//! let squares = exec::map_indexed(4, &[1, 2, 3, 4, 5], |_i, x| x * x);
-//! assert_eq!(squares, vec![1, 4, 9, 16, 25]);
-//!
-//! // Per-worker mutable contexts (one accumulator per worker):
+//! // Per-worker mutable contexts (one accumulator per worker); results
+//! // come back in index order.
+//! let items = [1u64, 2, 3];
 //! let mut sums = vec![0u64; 2];
-//! let doubled = exec::map_with_workers(&mut sums, &[1u64, 2, 3], |sum, _i, x| {
-//!     *sum += x;
-//!     x * 2
+//! let doubled = exec::map_indices_with_workers(&mut sums, 3, Shard::RoundRobin, |sum, i| {
+//!     *sum += items[i];
+//!     items[i] * 2
 //! });
 //! assert_eq!(doubled, vec![2, 4, 6]);
 //! assert_eq!(sums.iter().sum::<u64>(), 6);
@@ -614,10 +613,9 @@ impl Shard<'_> {
 /// `(items, costs, chunks)`. Zero costs count as one, mirroring the
 /// cost-keyed shard strategies.
 ///
-/// This is the lease-sizing primitive shared by the distributed
-/// dispatcher (cutting a worker slot's shard into replayable leases) and
-/// the sweep service's multiplexing scheduler (cutting every submission's
-/// slots into interleavable leases).
+/// This is the lease-sizing primitive behind `SweepSet::lease_plan`, the
+/// one lease planner the distributed dispatcher and the sweep service's
+/// multiplexing scheduler share.
 #[must_use]
 pub fn cost_quantile_chunks(
     items: &[usize],
@@ -770,70 +768,6 @@ impl<A> IncrementalFold<A> {
         }
         merged
     }
-}
-
-/// Maps `f` over `items` on up to `threads` scoped workers and returns the
-/// results in input order.
-///
-/// Sharding is static round-robin (worker `w` takes indices
-/// `w, w + threads, …`), so both the schedule and the output order are
-/// deterministic for a given `(items.len(), threads)`. A `threads` of 1 (or
-/// a single-item input) runs inline on the calling thread without spawning.
-///
-/// # Panics
-///
-/// Propagates a panic from `f` after the remaining workers finish.
-pub fn map_indexed<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let mut contexts = vec![(); effective_workers(threads, items.len())];
-    map_with_workers(&mut contexts, items, |(), i, x| f(i, x))
-}
-
-/// Like [`map_indexed`], but each worker additionally owns one mutable
-/// context from `contexts` for the duration of the run (a simulator cache, an
-/// accumulator, a scratch buffer). The worker count *is* `contexts.len()`.
-///
-/// Item `i` is processed by worker `i % contexts.len()` — the same static
-/// round-robin shard as [`map_indexed`] — and results come back in input
-/// order.
-///
-/// # Panics
-///
-/// Panics if `contexts` is empty; propagates a panic from `f`.
-pub fn map_with_workers<C, T, R, F>(contexts: &mut [C], items: &[T], f: F) -> Vec<R>
-where
-    C: Send,
-    T: Sync,
-    R: Send,
-    F: Fn(&mut C, usize, &T) -> R + Sync,
-{
-    map_with_workers_sharded(contexts, items, Shard::RoundRobin, f)
-}
-
-/// Like [`map_with_workers`], but with an explicit [`Shard`] strategy
-/// choosing which worker processes each item.
-///
-/// # Panics
-///
-/// Panics if `contexts` is empty, if a [`Shard::ByKey`] key slice is shorter
-/// than `items`, or propagates a panic from `f`.
-pub fn map_with_workers_sharded<C, T, R, F>(
-    contexts: &mut [C],
-    items: &[T],
-    shard: Shard<'_>,
-    f: F,
-) -> Vec<R>
-where
-    C: Send,
-    T: Sync,
-    R: Send,
-    F: Fn(&mut C, usize, &T) -> R + Sync,
-{
-    map_indices_with_workers(contexts, items.len(), shard, |ctx, i| f(ctx, i, &items[i]))
 }
 
 /// The index-driven core of the pool: runs `f(ctx, i)` for every
@@ -1011,32 +945,33 @@ mod tests {
     use super::*;
 
     #[test]
-    fn map_indexed_preserves_input_order_at_any_thread_count() {
-        let items: Vec<usize> = (0..37).collect();
-        let expected: Vec<usize> = items.iter().map(|x| x * 3).collect();
+    fn index_mapping_preserves_input_order_at_any_thread_count() {
+        let expected: Vec<usize> = (0..37).map(|x| x * 3).collect();
         for threads in [1, 2, 3, 8, 64] {
-            let got = map_indexed(threads, &items, |i, x| {
-                assert_eq!(i, *x);
-                x * 3
-            });
+            let mut contexts = vec![(); effective_workers(threads, 37)];
+            let got = map_indices_with_workers(&mut contexts, 37, Shard::RoundRobin, |(), i| i * 3);
             assert_eq!(got, expected, "threads={threads}");
         }
     }
 
     #[test]
-    fn map_indexed_handles_empty_and_single_inputs() {
-        let empty: Vec<u32> = Vec::new();
-        assert!(map_indexed(4, &empty, |_, x| *x).is_empty());
-        assert_eq!(map_indexed(4, &[7u32], |_, x| x + 1), vec![8]);
+    fn index_mapping_handles_empty_and_single_inputs() {
+        let mut contexts = vec![(); 4];
+        let empty: Vec<usize> =
+            map_indices_with_workers(&mut contexts, 0, Shard::RoundRobin, |(), i| i);
+        assert!(empty.is_empty());
+        assert_eq!(
+            map_indices_with_workers(&mut contexts, 1, Shard::RoundRobin, |(), i| i + 8),
+            vec![8]
+        );
     }
 
     #[test]
-    fn map_with_workers_shards_round_robin() {
+    fn round_robin_mapping_shards_index_modulo_workers() {
         // Record which worker saw which index: index i must land on worker
         // i % workers, by construction.
-        let items: Vec<usize> = (0..20).collect();
         let mut seen: Vec<Vec<usize>> = vec![Vec::new(); 3];
-        let _ = map_with_workers(&mut seen, &items, |bucket, i, _| {
+        let _ = map_indices_with_workers(&mut seen, 20, Shard::RoundRobin, |bucket, i| {
             bucket.push(i);
             i
         });
@@ -1047,11 +982,12 @@ mod tests {
     }
 
     #[test]
-    fn map_with_workers_single_context_runs_inline() {
+    fn index_mapping_with_one_context_runs_inline() {
+        let items = [1u64, 2, 3];
         let mut ctx = vec![0u64];
-        let out = map_with_workers(&mut ctx, &[1u64, 2, 3], |c, _, x| {
-            *c += x;
-            *x
+        let out = map_indices_with_workers(&mut ctx, items.len(), Shard::RoundRobin, |c, i| {
+            *c += items[i];
+            items[i]
         });
         assert_eq!(out, vec![1, 2, 3]);
         assert_eq!(ctx[0], 6);
@@ -1069,9 +1005,9 @@ mod tests {
         for workers in [1, 2, 3, 8] {
             let mut seen: Vec<Vec<u64>> = vec![Vec::new(); workers];
             let got =
-                map_with_workers_sharded(&mut seen, &items, Shard::ByKey(&keys), |b, i, x| {
+                map_indices_with_workers(&mut seen, items.len(), Shard::ByKey(&keys), |b, i| {
                     b.push(keys[i]);
-                    x + 100
+                    items[i] + 100
                 });
             assert_eq!(got, expected, "workers={workers}");
             let owners = |key: u64| -> Vec<usize> {
@@ -1626,6 +1562,12 @@ mod tests {
         // The expensive item's chunk carries few cheap neighbours.
         let hot = plan.iter().find(|c| c.contains(&3)).unwrap();
         assert!(hot.len() <= 4, "hot chunk dragged {} items", hot.len());
+        // A leading item with ~90% of the cost gets a chunk of its own.
+        let plan = cost_quantile_chunks(&items, |i| if i == 0 { 90 } else { 1 }, 4);
+        assert_eq!(plan[0], vec![0]);
+        // Uniform costs degrade to near-equal counts, like index quantiles.
+        let plan = cost_quantile_chunks(&items, |_| 7, 4);
+        assert!(plan.iter().all(|c| (2..=3).contains(&c.len())), "{plan:?}");
         // More chunks than items clamps; empty input yields no chunks.
         assert_eq!(cost_quantile_chunks(&[5, 9], |_| 1, 4).len(), 2);
         assert!(cost_quantile_chunks(&[], |_| 1, 4).is_empty());

@@ -6,10 +6,11 @@
 //! fold-based result pipeline holds peak result memory O(workers) — flat in
 //! the cell count — where the materializing path grows O(cells).
 //!
-//! The allocator counters are process-global, so this file's tests serialize
-//! on one mutex instead of relying on `--test-threads=1`.
+//! Allocation counts are per thread, but the live/peak byte counters are
+//! process-global, so this file's tests serialize on one mutex instead of
+//! relying on `--test-threads=1`.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use sysscale::{
     calibration_source, measure_population_from, CalibrationConfig, FixedGovernor,
@@ -22,12 +23,18 @@ use sysscale_workloads::{spec_workload, PopulationSource, WorkloadSource};
 #[global_allocator]
 static ALLOCATOR: TrackingAllocator = TrackingAllocator;
 
-/// Serializes the allocator-observing tests (the counters are global).
+/// Serializes the allocator-observing tests (the byte counters are global).
 static COUNTER_LOCK: Mutex<()> = Mutex::new(());
+
+/// Takes [`COUNTER_LOCK`]; one failed test must not fail the others
+/// through a poisoned lock.
+fn counter_lock() -> MutexGuard<'static, ()> {
+    COUNTER_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 #[test]
 fn untraced_run_allocations_are_independent_of_slice_count() {
-    let _guard = COUNTER_LOCK.lock().unwrap();
+    let _guard = counter_lock();
     let mut sim = SocSimulator::new(SocConfig::skylake_default()).unwrap();
     let lbm = spec_workload("lbm").unwrap();
 
@@ -80,7 +87,7 @@ fn untraced_run_allocations_are_independent_of_slice_count() {
 
 #[test]
 fn registry_governors_are_allocation_free_per_evaluation_interval() {
-    let _guard = COUNTER_LOCK.lock().unwrap();
+    let _guard = counter_lock();
 
     // Every policy of the built-in registry — including the stateful
     // SysScale/MemScale/CoScale governors whose `decide` runs once per
@@ -126,7 +133,7 @@ fn registry_governors_are_allocation_free_per_evaluation_interval() {
 
 #[test]
 fn streaming_a_population_holds_workload_memory_independent_of_size() {
-    let _guard = COUNTER_LOCK.lock().unwrap();
+    let _guard = counter_lock();
 
     // Drain a generator-backed stream, keeping only a scalar digest: live
     // workload memory must stay flat because each workload is dropped before
@@ -171,7 +178,7 @@ fn streaming_a_population_holds_workload_memory_independent_of_size() {
 
 #[test]
 fn folding_a_100k_cell_batch_holds_result_memory_independent_of_cell_count() {
-    let _guard = COUNTER_LOCK.lock().unwrap();
+    let _guard = counter_lock();
 
     // The exec-level contract of the fold core: every cell produces a
     // heap-allocated "record" (a 256 B payload standing in for a
@@ -235,7 +242,7 @@ fn folding_a_100k_cell_batch_holds_result_memory_independent_of_cell_count() {
 
 #[test]
 fn fold_calibration_uses_less_result_memory_than_the_materialized_runset() {
-    let _guard = COUNTER_LOCK.lock().unwrap();
+    let _guard = counter_lock();
 
     // The scenario-level spelling: a real calibration sweep (300 cells)
     // aggregated by the fold pipeline versus collected into a RunSet and
